@@ -90,18 +90,14 @@ def _identity_run(backend_name: str, cohort: bool):
     server, clients = _federation(IDENTITY_CLIENTS, cohort)
     if backend_name == "process":
         backend = make_backend(
-            "process", max_workers=2, feature_runtime=FeatureRuntime(),
-            cohort_solver=cohort,
+            "process", max_workers=2, feature_runtime=FeatureRuntime()
         )
     elif backend_name == "thread":
         backend = make_backend(
-            "thread", max_workers=4, feature_runtime=FeatureRuntime(),
-            cohort_solver=cohort,
+            "thread", max_workers=4, feature_runtime=FeatureRuntime()
         )
     else:
-        backend = SerialBackend(
-            feature_runtime=FeatureRuntime(), cohort_solver=cohort
-        )
+        backend = SerialBackend(feature_runtime=FeatureRuntime())
     with backend:
         history = run_federated_training(
             server, clients, rounds=2, seed=5, backend=backend
@@ -135,8 +131,7 @@ def _round_seconds(reps: int = 3) -> tuple[float, float]:
     for cohort in (True, False):
         server, clients = _federation(TIMED_CLIENTS, cohort)
         backend = make_backend(
-            "process", max_workers=2, feature_runtime=FeatureRuntime(),
-            cohort_solver=cohort,
+            "process", max_workers=2, feature_runtime=FeatureRuntime()
         )
         broadcast = server.broadcast()
         backend.map_round(clients, server.model, broadcast, None)  # warm-up

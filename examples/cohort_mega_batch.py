@@ -11,8 +11,9 @@ twice on the process backend — cohorts off, then on — and prints the
 per-round wall time, the grouping counters, and proof that the two runs
 produced identical histories and weights.
 
-Opt out per client with ``Client(cohort_solver=False)``, per run with
-``FedFTEDSConfig(cohort_solver=False)`` or ``--no-cohort-solver``.
+The only opt-out is per client, ``Client(cohort_solver=False)``, which
+this script uses for the cohorts-off reference run; backends group every
+client that has not opted out.
 
 Run:  PYTHONPATH=src python examples/cohort_mega_batch.py
 """
@@ -42,7 +43,7 @@ CLASSES = 8
 ROUNDS = 5
 
 
-def build_federation():
+def build_federation(cohort: bool):
     model = MLP(FEATURES, (64, 64, 64), CLASSES, np.random.default_rng(1))
     prepare_partial_model(model, "moderate")
     clients = []
@@ -60,6 +61,7 @@ def build_federation():
                 selection_fraction=0.1,
                 epochs=5,
                 rng=np.random.default_rng(500 + cid),
+                cohort_solver=cohort,
             )
         )
     state = model.state_dict()
@@ -77,10 +79,8 @@ def build_federation():
 
 
 def run(cohort: bool):
-    server, clients = build_federation()
-    backend = make_backend(
-        "process", feature_runtime=FeatureRuntime(), cohort_solver=cohort
-    )
+    server, clients = build_federation(cohort)
+    backend = make_backend("process", feature_runtime=FeatureRuntime())
     start = time.perf_counter()
     with backend:
         history = run_federated_training(

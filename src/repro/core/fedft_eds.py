@@ -115,18 +115,6 @@ class FedFTEDSConfig:
     #: bitwise identical to the full forward; disable to force the seed
     #: full-forward path
     feature_cache: bool = True
-    #: fused head solver (repro.fl.fastpath): run head-only rounds,
-    #: entropy scoring and pooled evaluation through preplanned
-    #: zero-allocation kernel workspaces — bitwise identical to the layer
-    #: graph, with automatic per-client fallback for unfusible heads;
-    #: disable (``--no-fused-solver``) to force the layer-graph path
-    fused_solver: bool = True
-    #: cohort solver (repro.fl.fastpath.cohort_units): backends group
-    #: compatible participants into block-stacked CohortPlan solves — one
-    #: job per cohort instead of one per client, bitwise identical to
-    #: per-client dispatch; disable (``--no-cohort-solver``) to force
-    #: per-client jobs
-    cohort_solver: bool = True
     #: fault layer (repro.engine.faults): per-job wall-clock deadline on
     #: worker backends — a hung job is killed and redispatched bitwise
     #: identically; setting either knob enables the FaultPolicy
@@ -265,18 +253,14 @@ class FedFTEDSCampaign:
                     segment_pool=self.segment_pool,
                     persistent=True,
                     feature_runtime=runtime,
-                    fused_solver=config.fused_solver,
-                    cohort_solver=config.cohort_solver,
                     fault_policy=fault_policy,
                     chaos=chaos,
                 )
             else:
-                # Honour the run's cache/fusion/fault settings on the warm
+                # Honour the run's cache/fault settings on the warm
                 # backend; the per-run segment registrations were cleared
                 # by end_run.
                 self._process_backend.feature_runtime = runtime
-                self._process_backend.fused_solver = config.fused_solver
-                self._process_backend.cohort_solver = config.cohort_solver
                 self._process_backend.fault_policy = fault_policy
                 self._process_backend.chaos = chaos
             return self._process_backend
@@ -284,7 +268,6 @@ class FedFTEDSCampaign:
             config.backend,
             config.max_workers or self.max_workers,
             feature_runtime=runtime,
-            cohort_solver=config.cohort_solver,
             fault_policy=fault_policy,
             chaos=chaos,
         )
@@ -490,8 +473,6 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             epochs=config.local_epochs,
             rng=client_rngs[i],
             shard_key=shard_identity + (i,),
-            fused_solver=config.fused_solver,
-            cohort_solver=config.cohort_solver,
         )
         for i, shard in enumerate(shards)
     ]
@@ -520,8 +501,6 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             feature_runtime=(
                 FeatureRuntime(store=store) if config.feature_cache else None
             ),
-            fused_solver=config.fused_solver,
-            cohort_solver=config.cohort_solver,
             fault_policy=fault_policy,
             chaos=chaos,
         )

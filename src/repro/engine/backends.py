@@ -20,10 +20,6 @@ sequence:
   ``persistent=True`` the workers and shard segments additionally survive
   across the runs of one campaign (each shard is published once per
   campaign, not once per run).
-- :class:`PicklingProcessPoolBackend` — the naive process backend that
-  ships a full model replica plus the client (with its shard) per job;
-  kept as the regression baseline the shared-memory benchmark compares
-  against.
 
 Every client is in at most one in-flight job at a time (the schedulers
 guarantee this), so per-client RNG streams advance in the same order under
@@ -119,13 +115,25 @@ class _Resolved:
 
 
 class ExecutionBackend:
-    """Interface: submit client rounds, collect their LocalUpdates."""
+    """Interface: submit client rounds, collect their LocalUpdates.
 
-    #: whether this backend may group compatible clients into block-stacked
-    #: cohort solves (:func:`repro.fl.fastpath.cohort_units`); class-level
-    #: default so lightweight subclasses keep the flag without chaining
-    #: ``__init__``
-    cohort_solver: bool = True
+    The dispatch logic lives here, once: :meth:`submit_many` probes ϕ,
+    looks up every client's cached features, groups compatible clients
+    into cohort solves (:func:`repro.fl.fastpath.cohort_units`) and runs
+    everyone else per client with the features already looked up. A
+    backend supplies only *where* work runs, through its hooks:
+
+    - :meth:`_ensure_features` — one client's cached ϕ(x) handle, and
+      :meth:`_feature_shape` — that handle's trailing shape;
+    - :meth:`_submit_client` — one per-client round over given features;
+    - :meth:`_submit_cohort` — one cohort's block-stacked solve.
+    """
+
+    #: frozen-feature policy (:mod:`repro.fl.features`); None runs the
+    #: full-forward seed path. Class-level default so lightweight
+    #: subclasses (tests wrap ``submit`` without chaining ``__init__``)
+    #: keep the uncached behaviour.
+    feature_runtime: FeatureRuntime | None = None
 
     def submit(
         self,
@@ -135,7 +143,10 @@ class ExecutionBackend:
         timing: TimingModel | None,
     ):
         """Start one client round; returns a handle for :meth:`result`."""
-        raise NotImplementedError
+        return self._submit_client(
+            client, template, global_state, timing,
+            self._ensure_features(client, template),
+        )
 
     def submit_many(
         self,
@@ -146,16 +157,79 @@ class ExecutionBackend:
     ) -> list:
         """Start one round per client; handles in input order.
 
-        The grouped entry point lets backends batch compatible clients into
-        cohort solves (one block-stacked job instead of N per-client jobs)
-        while still returning one handle per client — results are bitwise
-        identical to N :meth:`submit` calls, each handle resolving to its
-        client's LocalUpdate. The base implementation is exactly that loop.
+        Compatible clients are batched into cohort solves (one
+        block-stacked job instead of N per-client jobs) while one handle
+        per client still comes back — results are bitwise identical to N
+        :meth:`submit` calls, each handle resolving to its client's
+        LocalUpdate. The whole wave shares one ϕ fingerprint probe:
+        nothing can mutate the frozen prefix between two lookups of one
+        dispatch, and clients left out of every cohort reuse the wave's
+        features instead of probing again.
         """
-        return [
-            self.submit(client, template, global_state, timing)
+        if self.feature_runtime is None:
+            return [
+                self.submit(client, template, global_state, timing)
+                for client in clients
+            ]
+        chain = template.phi_prefix_chain()
+        features = [
+            self._ensure_features(client, template, chain=chain)
             for client in clients
         ]
+        handles: list = [None] * len(clients)
+        if len(clients) > 1:
+            shapes = [self._feature_shape(f) for f in features]
+            units = fastpath.cohort_units(
+                clients, template, global_state, shapes
+            )
+            for positions, layout in units or ():
+                cohort = self._submit_cohort(
+                    [clients[i] for i in positions],
+                    template,
+                    global_state,
+                    timing,
+                    [features[i] for i in positions],
+                    layout,
+                )
+                if cohort is None:
+                    continue  # late disagreement: members fall through below
+                for pos, handle in zip(positions, cohort):
+                    handles[pos] = handle
+        for i, client in enumerate(clients):
+            if handles[i] is None:
+                handles[i] = self._submit_client(
+                    client, template, global_state, timing, features[i]
+                )
+        return handles
+
+    def _ensure_features(self, client, template, chain=None):
+        """The client's cached ϕ(shard) handle, or None to run full-forward.
+
+        ``chain`` is the wave's ϕ prefix chain when :meth:`submit_many`
+        already probed it; None probes afresh.
+        """
+        if self.feature_runtime is None:
+            return None
+        return self.feature_runtime.features_for(client, template, chain=chain)
+
+    @staticmethod
+    def _feature_shape(features) -> tuple | None:
+        """Trailing shape of a feature handle (the cohort grouping key)."""
+        return None if features is None else tuple(features.shape[1:])
+
+    def _submit_client(self, client, template, global_state, timing, features):
+        """Start one per-client round over ``features``; returns a handle."""
+        raise NotImplementedError
+
+    def _submit_cohort(
+        self, members, template, global_state, timing, features, layout
+    ) -> list | None:
+        """Start one cohort solve; one handle per member, in order.
+
+        None means the cohort declined (a late disagreement); its members
+        then run per client.
+        """
+        raise NotImplementedError
 
     def result(self, handle) -> LocalUpdate:
         """Block until the handle's round is finished and return its update."""
@@ -192,10 +266,10 @@ class ExecutionBackend:
 _COHORT_JOB_LANES = 64
 
 
-def _cohort_chunks(positions: list) -> list:
+def _cohort_chunks(count: int) -> list[slice]:
     return [
-        positions[start : start + _COHORT_JOB_LANES]
-        for start in range(0, len(positions), _COHORT_JOB_LANES)
+        slice(start, start + _COHORT_JOB_LANES)
+        for start in range(0, count, _COHORT_JOB_LANES)
     ]
 
 
@@ -207,63 +281,23 @@ class SerialBackend(ExecutionBackend):
     without one, the full-forward seed path runs.
     """
 
-    #: class-level default so lightweight subclasses (tests wrap submit
-    #: without chaining __init__) keep the uncached seed behaviour
-    feature_runtime: FeatureRuntime | None = None
-
-    def __init__(
-        self,
-        feature_runtime: FeatureRuntime | None = None,
-        cohort_solver: bool = True,
-    ):
+    def __init__(self, feature_runtime: FeatureRuntime | None = None):
         self.feature_runtime = feature_runtime
-        self.cohort_solver = cohort_solver
 
-    def submit(self, client, template, global_state, timing):
-        features = (
-            self.feature_runtime.features_for(client, template)
-            if self.feature_runtime is not None
-            else None
-        )
+    def _submit_client(self, client, template, global_state, timing, features):
         return _Resolved(
             client.run_round(
                 template, global_state, timing=timing, features=features
             )
         )
 
-    def submit_many(self, clients, template, global_state, timing):
-        # Cohort grouping needs cached features, at least two clients and
-        # the stock per-client path (a subclass overriding ``submit``
-        # customises per-client behaviour the cohort would bypass).
-        if (
-            len(clients) < 2
-            or not self.cohort_solver
-            or self.feature_runtime is None
-            or type(self).submit is not SerialBackend.submit
-        ):
-            return super().submit_many(clients, template, global_state, timing)
-        chain = template.phi_prefix_chain()
-        features = [
-            self.feature_runtime.features_for(client, template, chain=chain)
-            for client in clients
-        ]
-        shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
-        units = fastpath.cohort_units(clients, template, global_state, shapes)
-        handles: list = [None] * len(clients)
-        for positions, layout in units or ():
-            members = [clients[i] for i in positions]
-            feats = [features[i] for i in positions]
-            updates = fastpath.run_cohort(
-                members, template, global_state, timing, feats, layout
-            )
-            if updates is None:
-                continue  # late disagreement: members fall through below
-            for pos, update in zip(positions, updates):
-                handles[pos] = _Resolved(update)
-        for i, client in enumerate(clients):
-            if handles[i] is None:
-                handles[i] = self.submit(client, template, global_state, timing)
-        return handles
+    def _submit_cohort(
+        self, members, template, global_state, timing, features, layout
+    ):
+        updates = fastpath.run_cohort(
+            members, template, global_state, timing, features, layout
+        )
+        return None if updates is None else [_Resolved(u) for u in updates]
 
 
 class ThreadPoolBackend(ExecutionBackend):
@@ -275,9 +309,9 @@ class ThreadPoolBackend(ExecutionBackend):
     ``run_round`` loads the broadcast state before every round, so replica
     contents never leak between clients.
 
-    Feature caching: ϕ(x) arrays are built once on the *template* (inside
-    ``submit``, on the scheduler thread, before any worker could touch it)
-    and shared read-only by every worker's replica rounds.
+    Feature caching: ϕ(x) arrays are built once on the *template* (on the
+    scheduler thread, before any worker could touch it) and shared
+    read-only by every worker's replica rounds.
 
     Fault layer: thread jobs mutate their client's RNG *in this process*,
     so a retry would double-advance the stream — redispatch is unsound
@@ -293,7 +327,6 @@ class ThreadPoolBackend(ExecutionBackend):
         self,
         max_workers: int | None = None,
         feature_runtime: FeatureRuntime | None = None,
-        cohort_solver: bool = True,
         fault_policy: FaultPolicy | None = None,
         chaos: ChaosPlan | None = None,
     ):
@@ -301,7 +334,6 @@ class ThreadPoolBackend(ExecutionBackend):
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.feature_runtime = feature_runtime
-        self.cohort_solver = cohort_solver
         self.fault_policy = fault_policy
         self.chaos = chaos
         #: global dispatch index for chaos addressing (counts every job)
@@ -360,13 +392,8 @@ class ThreadPoolBackend(ExecutionBackend):
                 thread_name_prefix="repro-client",
             )
 
-    def submit(self, client, template, global_state, timing):
+    def _submit_client(self, client, template, global_state, timing, features):
         self._ensure_started(template)
-        features = (
-            self.feature_runtime.features_for(client, template)
-            if self.feature_runtime is not None
-            else None
-        )
 
         def job() -> LocalUpdate:
             model = self._replicas.get()
@@ -379,57 +406,37 @@ class ThreadPoolBackend(ExecutionBackend):
 
         return self._submit_traced(job)
 
-    def submit_many(self, clients, template, global_state, timing):
-        if (
-            len(clients) < 2
-            or not self.cohort_solver
-            or self.feature_runtime is None
-            or type(self).submit is not ThreadPoolBackend.submit
-        ):
-            return super().submit_many(clients, template, global_state, timing)
+    def _submit_cohort(
+        self, members, template, global_state, timing, features, layout
+    ):
         self._ensure_started(template)
-        chain = template.phi_prefix_chain()
-        features = [
-            self.feature_runtime.features_for(client, template, chain=chain)
-            for client in clients
-        ]
-        shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
-        units = fastpath.cohort_units(clients, template, global_state, shapes)
-        handles: list = [None] * len(clients)
-        signature = None
-        if units:
-            # Probed on the scheduler thread: worker jobs must never walk
-            # the template, which a later ``submit`` may be forwarding
-            # through for features. Same reason the planned durations are
-            # computed here and stamped onto the solved updates in the job.
-            _, signature = fastpath.head_ops(template)
-        chunks = [
-            (chunk, layout)
-            for positions, layout in units or ()
-            for chunk in _cohort_chunks(positions)
-        ]
-        for positions, layout in chunks:
-            members = [clients[i] for i in positions]
-            feats = [features[i] for i in positions]
+        # Probed on the scheduler thread: worker jobs must never walk
+        # the template, which a later dispatch may be forwarding through
+        # for features. Same reason the planned durations are computed
+        # here and stamped onto the solved updates in the job.
+        _, signature = fastpath.head_ops(template)
+        handles = []
+        for chunk in _cohort_chunks(len(members)):
+            lanes, feats = members[chunk], features[chunk]
             secs = (
                 None
                 if timing is None
                 else [
                     member.planned_round_seconds(template, timing)
-                    for member in members
+                    for member in lanes
                 ]
             )
 
-            def job(members=members, feats=feats, layout=layout, secs=secs):
+            def job(lanes=lanes, feats=feats, secs=secs):
                 updates = fastpath.run_cohort(
-                    members, template, global_state, None, feats, layout,
+                    lanes, template, global_state, None, feats, layout,
                     signature=signature,
                 )
                 if updates is None:
                     # Late disagreement: the exact per-member path, each
                     # round in a pooled replica like a per-client job.
                     updates = []
-                    for member, member_feats in zip(members, feats):
+                    for member, member_feats in zip(lanes, feats):
                         model = self._replicas.get()
                         try:
                             updates.append(
@@ -449,11 +456,9 @@ class ThreadPoolBackend(ExecutionBackend):
                 return updates
 
             future = self._submit_traced(job)
-            for index, pos in enumerate(positions):
-                handles[pos] = _CohortMemberHandle(future, index)
-        for i, client in enumerate(clients):
-            if handles[i] is None:
-                handles[i] = self.submit(client, template, global_state, timing)
+            handles.extend(
+                _CohortMemberHandle(future, index) for index in range(len(lanes))
+            )
         return handles
 
     def close(self):
@@ -890,7 +895,7 @@ def _shm_eval_solve(job: dict) -> tuple[int, int, dict | None]:
     batch = int(job["batch_size"])
     from repro.fl.fastpath import STATS as fused_stats
 
-    if "f" in arrays and job.get("fused", True):
+    if "f" in arrays:
         # Fused evaluation: head-only shards run through a worker-cached
         # FusedHeadPlan (keyed per template, like the feature segments the
         # plan consumes), so the per-job Python is dispatch plus the
@@ -1264,8 +1269,6 @@ class ProcessPoolBackend(ExecutionBackend):
         segment_pool: "CampaignSegmentPool | None" = None,
         persistent: bool = False,
         feature_runtime: FeatureRuntime | None = None,
-        fused_solver: bool = True,
-        cohort_solver: bool = True,
         fault_policy: FaultPolicy | None = None,
         chaos: ChaosPlan | None = None,
     ):
@@ -1275,11 +1278,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self.start_method = start_method or os.environ.get(START_METHOD_ENV) or None
         self.segment_pool = segment_pool
         self.persistent = persistent
-        #: whether pooled-evaluation workers may run their shards through
-        #: the fused head plan (client rounds carry their own per-client
-        #: ``fused_solver`` flag inside the pickled descriptor)
-        self.fused_solver = fused_solver
-        self.cohort_solver = cohort_solver
         #: frozen-feature policy: when set, client shards' ϕ(x) (and test
         #: sets for pooled evaluation) are materialised parent-side and
         #: published as segments; workers then run head-only rounds. The
@@ -1830,13 +1828,16 @@ class ProcessPoolBackend(ExecutionBackend):
         self.stats["feature_segments"] = len(self._features)
         return record
 
-    # -- ExecutionBackend interface ------------------------------------------
-    def submit(self, client, template, global_state, timing):
+    # -- ExecutionBackend hooks ----------------------------------------------
+    @staticmethod
+    def _feature_shape(features) -> tuple | None:
+        return None if features is None else tuple(features.layout["f"][1][1:])
+
+    def _submit_client(self, client, template, global_state, timing, features):
         self._ensure_started()
         template_record = self._ensure_template(template)
         slot = self._publish_state(global_state)
         shard = self._ensure_shard(client)
-        features = self._ensure_features(client, template)
         job = {
             "template_name": template_record.shm.name,
             "template_nbytes": template_record.nbytes,
@@ -1862,40 +1863,18 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         return _ShmHandle(self, record, client, slot, template_record)
 
-    def submit_many(self, clients, template, global_state, timing):
-        if (
-            len(clients) < 2
-            or not self.cohort_solver
-            or self.feature_runtime is None
-            or type(self).submit is not ProcessPoolBackend.submit
-        ):
-            return super().submit_many(clients, template, global_state, timing)
+    def _submit_cohort(
+        self, members, template, global_state, timing, features, layout
+    ):
         self._ensure_started()
-        chain = template.phi_prefix_chain()
-        features = [
-            self._ensure_features(client, template, chain=chain)
-            for client in clients
-        ]
-        shapes = [
-            None if record is None else tuple(record.layout["f"][1][1:])
-            for record in features
-        ]
-        units = fastpath.cohort_units(clients, template, global_state, shapes)
-        handles: list = [None] * len(clients)
-        if units:
-            template_record = self._ensure_template(template)
-        chunks = [
-            (chunk, layout)
-            for positions, layout in units or ()
-            for chunk in _cohort_chunks(positions)
-        ]
-        for positions, layout in chunks:
-            members = [clients[i] for i in positions]
+        template_record = self._ensure_template(template)
+        handles = []
+        for chunk in _cohort_chunks(len(members)):
+            lanes = members[chunk]
             slot = self._publish_state(global_state)
             member_blobs = []
-            for i, client in zip(positions, members):
+            for client, record in zip(lanes, features[chunk]):
                 shard = self._ensure_shard(client)
-                record = features[i]
                 member_blobs.append(
                     {
                         "shard_name": shard.shm.name,
@@ -1927,14 +1906,12 @@ class ProcessPoolBackend(ExecutionBackend):
             )
             job_record = self._dispatch(_shm_cohort_round, job, fingerprints)
             shared = _SharedCohortResult(
-                self, job_record, members, slot, template_record, layout,
+                self, job_record, lanes, slot, template_record, layout,
                 template, timing,
             )
-            for index, pos in enumerate(positions):
-                handles[pos] = _ShmCohortHandle(shared, index)
-        for i, client in enumerate(clients):
-            if handles[i] is None:
-                handles[i] = self.submit(client, template, global_state, timing)
+            handles.extend(
+                _ShmCohortHandle(shared, index) for index in range(len(lanes))
+            )
         return handles
 
     def _inflight_done(self, future: Future) -> None:
@@ -2080,7 +2057,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     "eval_layout": record.layout,
                     "theta_keys": keys,
                     "batch_size": batch_size,
-                    "fused": self.fused_solver,
                 }
                 records.append(
                     self._dispatch(
@@ -2326,71 +2302,6 @@ class LazyPooledEvaluator:
         return self._delegate.evaluate(model, global_state, batch_size)
 
 
-# ---------------------------------------------------------------------------
-# Pickling process backend (regression baseline)
-# ---------------------------------------------------------------------------
-
-
-def _process_client_round(
-    client: Client,
-    model: SegmentedModel,
-    global_state: dict[str, np.ndarray],
-    timing: TimingModel | None,
-) -> tuple[LocalUpdate, dict]:
-    """Worker-process entry point: run the round, return update + RNG state."""
-    update = client.run_round(model, global_state, timing=timing)
-    return update, client.rng.bit_generator.state
-
-
-class _ProcessHandle:
-    """Resolves a worker-process future and replays the client RNG advance."""
-
-    __slots__ = ("_future", "_client")
-
-    def __init__(self, future: Future, client: Client):
-        self._future = future
-        self._client = client
-
-    def result(self) -> LocalUpdate:
-        update, rng_state = self._future.result()
-        # The worker advanced a pickled copy of the generator; mirror that
-        # advance here so the parent's stream stays continuous.
-        self._client.rng.bit_generator.state = rng_state
-        return update
-
-
-class PicklingProcessPoolBackend(ExecutionBackend):
-    """Worker processes; each job ships client + model replica by pickle.
-
-    Heavyweight per job (the client's shard and a model replica cross the
-    process boundary every round). Superseded by the shared-memory
-    :class:`ProcessPoolBackend`; retained as the baseline the benchmark
-    regression test compares payload sizes and results against.
-    """
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers or min(4, os.cpu_count() or 1)
-        self._executor: ProcessPoolExecutor | None = None
-
-    def _ensure_started(self) -> None:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def submit(self, client, template, global_state, timing):
-        self._ensure_started()
-        future = self._executor.submit(
-            _process_client_round, client, template, global_state, timing
-        )
-        return _ProcessHandle(future, client)
-
-    def close(self):
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 #: Backend short names used by configuration surfaces.
 BACKENDS = ("serial", "thread", "process")
 
@@ -2401,8 +2312,6 @@ def make_backend(
     segment_pool: "CampaignSegmentPool | None" = None,
     persistent: bool = False,
     feature_runtime: FeatureRuntime | None = None,
-    fused_solver: bool = True,
-    cohort_solver: bool = True,
     fault_policy: FaultPolicy | None = None,
     chaos: ChaosPlan | None = None,
 ) -> ExecutionBackend:
@@ -2412,23 +2321,17 @@ def make_backend(
     :class:`ProcessPoolBackend`); the serial and thread backends hold no
     cross-run state worth pooling. ``feature_runtime`` enables the
     frozen-feature cache on any backend (see :mod:`repro.fl.features`).
-    ``fused_solver`` gates the fused plan in pooled-evaluation workers
-    (client rounds carry their own per-client flag). ``cohort_solver``
-    gates block-stacked cohort dispatch (``submit_many`` grouping) on
-    every backend. ``fault_policy``/``chaos`` enable the fault layer
+    ``fault_policy``/``chaos`` enable the fault layer
     (:mod:`repro.engine.faults`): full retry/watchdog/degradation on the
     process backend, delay injection and deadline observation on the
     thread backend, nothing on serial (inline execution cannot lose work).
     """
     if name == "serial":
-        return SerialBackend(
-            feature_runtime=feature_runtime, cohort_solver=cohort_solver
-        )
+        return SerialBackend(feature_runtime=feature_runtime)
     if name == "thread":
         return ThreadPoolBackend(
             max_workers=max_workers,
             feature_runtime=feature_runtime,
-            cohort_solver=cohort_solver,
             fault_policy=fault_policy,
             chaos=chaos,
         )
@@ -2438,8 +2341,6 @@ def make_backend(
             segment_pool=segment_pool,
             persistent=persistent,
             feature_runtime=feature_runtime,
-            fused_solver=fused_solver,
-            cohort_solver=cohort_solver,
             fault_policy=fault_policy,
             chaos=chaos,
         )

@@ -33,6 +33,7 @@ from repro.engine.backends import (
     LazyPooledEvaluator,
     PooledEvaluator,
     ProcessPoolBackend,
+    SerialBackend,
     make_backend,
 )
 from repro.engine.campaign import CampaignSegmentPool
@@ -189,8 +190,6 @@ class ExperimentHarness:
         evals_per_round: int = 8,
         segment_pool: CampaignSegmentPool | None = None,
         feature_cache: bool = True,
-        fused_solver: bool = True,
-        cohort_solver: bool = True,
         pooled_serial_eval: bool = False,
         feature_byte_budget: int | None = None,
         telemetry: "TelemetrySession | None" = None,
@@ -225,15 +224,6 @@ class ExperimentHarness:
         self._owns_pool = segment_pool is None
         self._campaign_backend = None
         self.feature_cache = feature_cache
-        #: fused head-solver opt-out (``--no-fused-solver``): threaded to
-        #: every client and to the pooled-evaluation workers; results are
-        #: bitwise identical either way (repro.fl.fastpath)
-        self.fused_solver = fused_solver
-        #: cohort-solver opt-out (``--no-cohort-solver``): threaded to
-        #: every client and backend; when on, backends block-stack
-        #: compatible participants into one CohortPlan job per cohort —
-        #: bitwise identical to per-client dispatch (repro.fl.fastpath)
-        self.cohort_solver = cohort_solver
         #: serve synchronous *serial* runs' evaluations from the pooled
         #: process workers even when no warm backend exists yet (spins the
         #: campaign backend up lazily at the first evaluation); a warm
@@ -333,8 +323,6 @@ class ExperimentHarness:
                     segment_pool=self.segment_pool,
                     persistent=True,
                     feature_runtime=self.feature_runtime,
-                    fused_solver=self.fused_solver,
-                    cohort_solver=self.cohort_solver,
                     fault_policy=self.fault_policy,
                     chaos=self.chaos,
                 )
@@ -343,7 +331,6 @@ class ExperimentHarness:
             name,
             self.max_workers,
             feature_runtime=self.feature_runtime,
-            cohort_solver=self.cohort_solver,
             fault_policy=self.fault_policy,
             chaos=self.chaos,
         )
@@ -575,8 +562,6 @@ class ExperimentHarness:
                 epochs=s.local_epochs,
                 rng=client_rngs[i],
                 shard_key=shard_identity + (i,),
-                fused_solver=self.fused_solver,
-                cohort_solver=self.cohort_solver,
             )
             for i, shard in enumerate(shards)
         ]
@@ -677,16 +662,20 @@ class ExperimentHarness:
             s.rounds if model_kind == "main" else s.conv_rounds
         )
         if mode == "sync":
-            backend_name = backend or self.backend
-            if backend_name == "serial":
-                # Inline execution in the server's workspace model — the
-                # seed behaviour, with no replica copies. Evaluations may
-                # still ride the pooled workers (campaign backend warm, or
-                # pooled_serial_eval spin-up).
+            with self.make_run_backend(backend) as run_backend:
                 try:
-                    self._attach_serial_pooled_evaluator(
-                        server, dataset, model_kind
-                    )
+                    if isinstance(run_backend, SerialBackend):
+                        # Serial rounds train in the server's workspace
+                        # model; evaluations may still ride the pooled
+                        # workers (campaign backend warm, or
+                        # pooled_serial_eval spin-up).
+                        self._attach_serial_pooled_evaluator(
+                            server, dataset, model_kind
+                        )
+                    else:
+                        self._attach_pooled_evaluator(
+                            server, run_backend, dataset, model_kind
+                        )
                     history = run_federated_training(
                         server,
                         clients,
@@ -694,29 +683,11 @@ class ExperimentHarness:
                         seed=run_seed + 1,
                         participation=participation,
                         timing=self.timing,
+                        backend=run_backend,
                         verbose=verbose,
-                        feature_runtime=self.feature_runtime,
                     )
                 finally:
                     server.evaluator = None
-            else:
-                with self.make_run_backend(backend) as run_backend:
-                    try:
-                        self._attach_pooled_evaluator(
-                            server, run_backend, dataset, model_kind
-                        )
-                        history = run_federated_training(
-                            server,
-                            clients,
-                            rounds=rounds,
-                            seed=run_seed + 1,
-                            participation=participation,
-                            timing=self.timing,
-                            backend=run_backend,
-                            verbose=verbose,
-                        )
-                    finally:
-                        server.evaluator = None
         else:
             aggregator = make_aggregator(
                 mode,

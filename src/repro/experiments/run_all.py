@@ -79,24 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-fused-solver",
-        action="store_true",
-        help=(
-            "disable the fused head-solver runtime (repro.fl.fastpath) and "
-            "run head-only rounds through the layer graph — results are "
-            "bitwise identical either way; this just forfeits the speedup"
-        ),
-    )
-    parser.add_argument(
-        "--no-cohort-solver",
-        action="store_true",
-        help=(
-            "disable cohort grouping (block-stacked multi-client solves) "
-            "and dispatch one job per client — results are bitwise "
-            "identical either way; this just forfeits the speedup"
-        ),
-    )
-    parser.add_argument(
         "--job-timeout",
         type=float,
         default=None,
@@ -198,8 +180,6 @@ def run_experiments(
     backend: str = "serial",
     max_workers: int | None = None,
     feature_cache: bool = True,
-    fused_solver: bool = True,
-    cohort_solver: bool = True,
     telemetry_dir: str | None = None,
     trace: bool = False,
     telemetry_refresh: float = 0.0,
@@ -237,8 +217,6 @@ def run_experiments(
         backend=backend,
         max_workers=max_workers,
         feature_cache=feature_cache,
-        fused_solver=fused_solver,
-        cohort_solver=cohort_solver,
         job_timeout=job_timeout,
         max_job_retries=max_job_retries,
         chaos=chaos,
@@ -297,8 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         max_workers=args.max_workers,
         feature_cache=not args.no_feature_cache,
-        fused_solver=not args.no_fused_solver,
-        cohort_solver=not args.no_cohort_solver,
         telemetry_dir=telemetry_dir,
         trace=args.trace,
         telemetry_refresh=args.telemetry_refresh,

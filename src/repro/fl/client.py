@@ -36,21 +36,19 @@ class Client:
     split per round (e.g. tiered clients) set it False so backends never
     hand them features materialised for a different split.
 
-    ``fused_solver`` opts head-only rounds into the fused kernel runtime
-    (:mod:`repro.fl.fastpath`): when cached features arrive and the
-    trainable head is fusible, selection scoring and the local solve run
-    through one preallocated :class:`~repro.nn.fused.FusedHeadPlan`
-    instead of the layer graph — bitwise identical, with automatic
-    per-round fallback whenever the head is not fusible. Disable (e.g.
-    ``repro-experiments --no-fused-solver``) to force the graph path.
-
-    ``cohort_solver`` additionally lets backends stack this client's
-    local round with same-shaped peers into one block-stacked
+    ``fused_solver`` and ``cohort_solver`` are the only solver opt-outs;
+    no product surface sets them — tests clear them to pick the reference
+    path. With ``fused_solver`` on, head-only rounds over a fusible head
+    run selection scoring and the local solve through one preallocated
+    :class:`~repro.nn.fused.FusedHeadPlan` instead of the layer graph
+    (:mod:`repro.fl.fastpath`) — bitwise identical, with automatic
+    per-round fallback whenever the head is not fusible; off forces the
+    layer graph. With ``cohort_solver`` on, backends may stack this
+    client's local round with same-shaped peers into one block-stacked
     :class:`~repro.nn.fused.CohortPlan` solve (see
     ``repro.fl.fastpath.cohort_units``) — bitwise identical to this
-    client running alone, with per-client fallback whenever no cohort
-    forms. Disable (``--no-cohort-solver``) to force per-client
-    dispatch; implies nothing about ``fused_solver``.
+    client running alone; off forces per-client dispatch and implies
+    nothing about ``fused_solver``.
     """
 
     #: whether backends may pass this client cached ϕ(x) features

@@ -8,8 +8,8 @@ Dispatch rules — the fused path engages only when every one of these
 holds, and silently falls back to the layer graph otherwise:
 
 - the round is head-only (cached ϕ(x) features are present);
-- the client opted in (``Client.fused_solver``, threaded from
-  ``FedFTEDSConfig``/``ExperimentHarness``/``--no-fused-solver``);
+- the client did not opt out (``Client.fused_solver``, which only tests
+  clear to force the layer-graph reference);
 - the trainable head is fusible (:func:`repro.nn.fused.head_ops` — no
   dropout with ``p > 0``, no BatchNorm, no convolutions in θ);
 - the head's trainable parameters are exactly the model's trainable

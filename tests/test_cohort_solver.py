@@ -35,6 +35,7 @@ from repro.fl.slab import SlabLayout, make_slab_state
 from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
 from repro.nn.mlp import MLP
+from repro.nn.segmented import SegmentedModel
 from repro.nn.serialization import theta_keys
 from repro.obs.report import TelemetrySession
 
@@ -136,16 +137,14 @@ def _run_sync(server, clients, backend=None, runtime=None, rounds=3, seed=3):
 
 def _sync_reference(**build_kwargs):
     """The per-client fused path (cohort off) — the identity baseline."""
-    server, clients = _build(**build_kwargs)
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
+    server, clients = _build(cohort=False, **build_kwargs)
+    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
         history = _run_sync(server, clients, backend)
     return _hist_sig(history), _theta_bytes(server), _rng_states(clients)
 
 
 # ---------------------------------------------------------------------------
-# Sync bitwise identity: serial / inline / thread / process
+# Sync bitwise identity: serial / no-backend / thread / process
 # ---------------------------------------------------------------------------
 
 
@@ -163,7 +162,8 @@ def test_sync_serial_cohort_bitwise_and_engaged():
 
 
 def test_sync_inline_cohort_bitwise():
-    """The no-backend inline path groups cohorts with the same results."""
+    """``backend=None`` (an owned serial backend) groups cohorts with the
+    same results."""
     ref_hist, ref_theta, ref_rngs = _sync_reference()
     server, clients = _build()
     history = _run_sync(server, clients, runtime=FeatureRuntime())
@@ -223,16 +223,17 @@ def test_sync_process_cohort_bitwise():
 def test_async_cohort_bitwise_all_backends(make_aggregator):
     """Async cohort waves replay the per-client event log bit for bit."""
     results = {}
-    for name, make in [
-        ("reference", lambda: SerialBackend(
-            feature_runtime=FeatureRuntime(), cohort_solver=False)),
-        ("serial", lambda: SerialBackend(feature_runtime=FeatureRuntime())),
-        ("thread", lambda: ThreadPoolBackend(
+    for name, cohort, make in [
+        ("reference", False,
+         lambda: SerialBackend(feature_runtime=FeatureRuntime())),
+        ("serial", True,
+         lambda: SerialBackend(feature_runtime=FeatureRuntime())),
+        ("thread", True, lambda: ThreadPoolBackend(
             max_workers=4, feature_runtime=FeatureRuntime())),
-        ("process", lambda: make_backend(
+        ("process", True, lambda: make_backend(
             "process", max_workers=2, feature_runtime=FeatureRuntime())),
     ]:
-        server, clients = _build()
+        server, clients = _build(cohort=cohort)
         with make() as backend:
             log = run_async_federated_training(
                 server, clients, make_aggregator(), max_events=24, seed=5,
@@ -311,15 +312,39 @@ def test_cohort_units_fallback_reasons():
 
 
 def test_backend_opt_out_disables_grouping():
-    """`cohort_solver=False` backends never touch the cohort layer."""
+    """Clients built with `cohort_solver=False` never form a cohort."""
     before = dict(fastpath.COHORT_STATS)
-    server, clients = _build()
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
+    server, clients = _build(cohort=False)
+    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
         _run_sync(server, clients, backend)
     for key in ("cohorts", "cohort_solves", "singletons"):
         assert fastpath.COHORT_STATS[key] == before[key]
+
+
+@pytest.mark.parametrize("owned", [True, False], ids=["no-backend", "serial"])
+def test_one_phi_probe_per_sync_round(owned, monkeypatch):
+    """A round's wave probes the ϕ fingerprint chain exactly once: clients
+    left out of every cohort reuse the wave's features."""
+    server, clients = _build(sizes=[40, 40, 40, 26])  # cohort + singleton
+    clients.append(_make_client(4, cohort=False))     # per-client opt-out
+    server.cache_features = False  # evaluation would probe ϕ too
+    calls = []
+    probe = SegmentedModel.phi_prefix_chain
+
+    def counting(model):
+        calls.append(model)
+        return probe(model)
+
+    monkeypatch.setattr(SegmentedModel, "phi_prefix_chain", counting)
+    before = dict(fastpath.COHORT_STATS)
+    if owned:
+        _run_sync(server, clients, runtime=FeatureRuntime())
+    else:
+        with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
+            _run_sync(server, clients, backend)
+    assert len(calls) == 3
+    for key in ("cohort_solves", "singletons", "fallback_opt_out"):
+        assert fastpath.COHORT_STATS[key] - before[key] == 3, key
 
 
 def test_mixed_tiers_fall_back_bitwise():
@@ -402,10 +427,8 @@ class _Killed(Exception):
 
 def test_sync_kill_and_resume_through_cohort_round(tmp_path):
     """A sync checkpoint taken mid-run resumes bitwise under cohorts."""
-    server, clients = _build()
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
+    server, clients = _build(cohort=False)
+    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
         history = _run_sync(server, clients, backend, rounds=5)
     ref_hist, ref_theta = _hist_sig(history), _theta_bytes(server)
 
@@ -434,10 +457,8 @@ def test_sync_kill_and_resume_through_cohort_round(tmp_path):
 
 def test_async_kill_and_resume_through_cohort_round(tmp_path):
     """An async run killed mid-stream resumes bitwise under cohorts."""
-    server, clients = _build()
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
+    server, clients = _build(cohort=False)
+    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
         log = run_async_federated_training(
             server, clients, FedBuffAggregator(buffer_size=3), max_events=20,
             seed=5, timing=TimingModel(), backend=backend,

@@ -34,6 +34,7 @@ from repro.nn.linear import row_canonical_matmul, row_canonical_matmul_into
 from repro.nn.losses import CrossEntropyLoss, FusedCrossEntropy
 from repro.nn.mlp import MLP
 from repro.nn.module import Sequential
+from repro.nn.wrn import WideResNet
 from repro.testbed import ENGINE_SMOKE
 
 RNG = np.random.default_rng
@@ -324,7 +325,7 @@ def test_plan_not_pickled_with_worker_client_descriptor():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end equivalence (sync serial + async process) and the CLI gate
+# End-to-end equivalence (sync serial + async process)
 # ---------------------------------------------------------------------------
 
 
@@ -335,34 +336,44 @@ def _run(config_kwargs):
     }
 
 
-def test_end_to_end_sync_equivalence_fused_vs_graph():
+def _graph_run(config_kwargs, monkeypatch):
+    """The layer-graph reference: an in-process run whose every client is
+    built with ``fused_solver=False``."""
+    init = Client.__init__
+
+    def graph_client(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.fused_solver = False
+
+    before = dict(fastpath.STATS)
+    with monkeypatch.context() as patch:
+        patch.setattr(Client, "__init__", graph_client)
+        out = _run(config_kwargs)
+    assert fastpath.STATS["fused_solves"] == before["fused_solves"]
+    assert fastpath.STATS["graph_solves"] > before["graph_solves"]
+    return out
+
+
+def test_end_to_end_sync_equivalence_fused_vs_graph(monkeypatch):
     base = dict(ENGINE_SMOKE, model="mlp", seed=3, selection="eds")
-    fused_records, fused_state = _run(dict(base, fused_solver=True))
-    graph_records, graph_state = _run(dict(base, fused_solver=False))
+    fused_records, fused_state = _run(base)
+    graph_records, graph_state = _graph_run(base, monkeypatch)
     assert fused_records == graph_records
     assert _states_bitwise_equal(fused_state, graph_state)
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])
-def test_end_to_end_async_equivalence_fused_vs_graph(backend):
+def test_end_to_end_async_equivalence_fused_vs_graph(backend, monkeypatch):
     base = dict(
         ENGINE_SMOKE, model="mlp", seed=9, mode="fedasync",
         dropout_probability=0.2,
     )
-    graph_records, graph_state = _run(dict(base, fused_solver=False))
+    graph_records, graph_state = _graph_run(base, monkeypatch)
     fused_records, fused_state = _run(
-        dict(base, fused_solver=True, backend=backend, max_workers=2)
+        dict(base, backend=backend, max_workers=2)
     )
     assert fused_records == graph_records
     assert _states_bitwise_equal(fused_state, graph_state)
-
-
-def test_no_fused_solver_cli_flag():
-    from repro.experiments.run_all import build_parser
-
-    args = build_parser().parse_args(["--no-fused-solver"])
-    assert args.no_fused_solver
-    assert not build_parser().parse_args([]).no_fused_solver
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +397,31 @@ def _mlp_federation(num_clients=2, samples=80, test=48):
     return model, clients, test_set
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_pooled_evaluation_fused_matches_serial(fused):
+@pytest.mark.parametrize("head", ["mlp", "conv"])
+def test_pooled_evaluation_fused_matches_serial(head):
+    """Pooled workers fuse the MLP head and fall back to the layer graph
+    for the conv head (a residual group in θ, unfusible even in eval
+    mode); both match serial evaluation."""
     from repro.fl.server import Server
 
     model, _clients, test_set = _mlp_federation()
+    if head == "conv":
+        model = WideResNet(10, 1, 5, RNG(1), base_planes=4)
+        prepare_partial_model(model, "moderate")
+        assert model.phi_prefix_chain()
+        assert head_ops(model, eval_mode=True) == (None, None)
     state = model.state_dict()
     serial = Server(model, test_set)
     expected = serial.evaluate(batch_size=16)
-    runtime = FeatureRuntime()
-    backend = ProcessPoolBackend(
-        max_workers=2, feature_runtime=runtime, fused_solver=fused
-    )
+    before = dict(fastpath.STATS)
+    backend = ProcessPoolBackend(max_workers=2, feature_runtime=FeatureRuntime())
     try:
         got = backend.evaluate_pooled(model, state, test_set, batch_size=16)
     finally:
         backend.shutdown()
     assert got == expected
+    branch = "fused_eval_shards" if head == "mlp" else "graph_eval_shards"
+    assert fastpath.STATS[branch] > before[branch]
 
 
 def test_lazy_pooled_evaluator_spins_up_on_first_use():
