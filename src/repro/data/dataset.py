@@ -21,6 +21,16 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return self.arrays()[1]
 
+    @property
+    def input_shape(self) -> tuple:
+        """Shape of one input sample (no batch axis), read without copying.
+
+        Shape-only consumers — the timing model pricing a round — use this
+        instead of ``arrays()[0].shape[1:]``, which on a :class:`Subset`
+        gathers the whole shard just to look at its shape.
+        """
+        return tuple(self.arrays()[0].shape[1:])
+
     def subset(self, indices: Sequence[int]) -> "Subset":
         return Subset(self, np.asarray(indices, dtype=np.int64))
 
@@ -47,6 +57,10 @@ class ArrayDataset(Dataset):
     @property
     def labels(self) -> np.ndarray:
         return self._labels
+
+    @property
+    def input_shape(self) -> tuple:
+        return tuple(self._inputs.shape[1:])
 
 
 class Subset(Dataset):
@@ -76,6 +90,10 @@ class Subset(Dataset):
         that entirely.
         """
         return self.parent.labels[self.indices]
+
+    @property
+    def input_shape(self) -> tuple:
+        return self.parent.input_shape
 
 
 class DataLoader:

@@ -39,39 +39,53 @@ def dirichlet_partition(
     """Dirichlet non-IID split of sample indices by label.
 
     Redraws until every client holds at least ``min_size`` samples, which is
-    the standard guard against degenerate shards at very small ``alpha``.
+    the standard guard against degenerate shards at very small ``alpha``;
+    after ``max_tries`` draws the last one is rebalanced instead.
+
+    A draw is judged by its shard *sizes* alone: each class's cut points
+    give every client's count (``np.diff`` of ``[0, cuts, n_class]``), so
+    rejected draws never build index arrays. Only the draw that is kept is
+    materialized — one stable sort of the indices by owning client, which
+    leaves each shard class-major with every class in its shuffled order.
     """
     if num_clients <= 0:
         raise ValueError("num_clients must be positive")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     labels = np.asarray(labels)
     if len(labels) < num_clients * min_size:
         raise ValueError("not enough samples to give every client min_size")
     rng = make_rng(rng)
-    classes = np.unique(labels)
-    result: list[np.ndarray] | None = None
+    by_class = [np.flatnonzero(labels == cls) for cls in np.unique(labels)]
     for _attempt in range(max_tries):
-        shards: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-        for cls in classes:
-            idx = np.where(labels == cls)[0]
+        sizes = np.zeros(num_clients, dtype=np.int64)
+        draw: list[tuple[np.ndarray, np.ndarray]] = []
+        for members in by_class:
+            idx = members.copy()
             rng.shuffle(idx)
             props = rng.dirichlet(np.full(num_clients, alpha))
             # Cumulative proportions → split points into this class's indices.
             cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
-            for client, part in enumerate(np.split(idx, cuts)):
-                shards[client].append(part)
-        sizes = [sum(len(p) for p in parts) for parts in shards]
-        result = [
-            np.concatenate(parts) if parts else np.empty(0, np.int64)
-            for parts in shards
-        ]
-        if min(sizes) >= min_size:
-            return [np.sort(shard) for shard in result]
+            counts = np.diff(np.concatenate(([0], cuts, [len(idx)])))
+            sizes += counts
+            draw.append((idx, counts))
+        if sizes.min() >= min_size:
+            break
+    if draw:
+        flat = np.concatenate([idx for idx, _ in draw])
+        clients = np.arange(num_clients)
+        owner = np.concatenate([np.repeat(clients, counts) for _, counts in draw])
+        flat = flat[np.argsort(owner, kind="stable")]
+    else:
+        flat = np.empty(0, dtype=np.int64)
+    result = np.split(flat, np.cumsum(sizes)[:-1])
+    if sizes.min() >= min_size:
+        return [np.sort(shard) for shard in result]
     # Extreme alpha can make min_size unreachable by redrawing (a class's
     # whole mass lands on one client); rebalance the last draw instead by
     # moving samples from the largest shards to the starved ones.
-    assert result is not None
     pool = [list(shard) for shard in result]
     while True:
         sizes = np.array([len(shard) for shard in pool])

@@ -669,7 +669,7 @@ def solve_cohort(
             layout.gather(global_state, plan.theta_row)
         for i, (client, feats) in enumerate(zip(clients, features_list)):
             plan.features[i] = feats
-            plan.labels[i] = client.dataset.arrays()[1]
+            plan.labels[i] = client.dataset.labels
         if stype is EntropySelector:
             with tracing.span("selection.entropy"):
                 entropy = plan.entropy_scores(

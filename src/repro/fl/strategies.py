@@ -126,7 +126,7 @@ class LocalSolver:
                     f"features ({len(features)}) and dataset ({len(dataset)}) "
                     f"disagree"
                 )
-            data = ArrayDataset(features, dataset.arrays()[1])
+            data = ArrayDataset(features, dataset.labels)
             forward = model.forward_head
         else:
             data = dataset

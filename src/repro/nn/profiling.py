@@ -11,16 +11,34 @@ counts (see DESIGN.md, substitutions). The key structural facts preserved:
 
 from __future__ import annotations
 
+from repro.nn.module import Module
 from repro.nn.segmented import SEGMENT_ORDER, SegmentedModel
 
 #: Conventional backward/forward cost ratio for SGD training.
 BACKWARD_FORWARD_RATIO = 2.0
 
 
+def _segment_flops(segment: Module, in_shape: tuple) -> tuple[int, tuple]:
+    """``segment.flops_per_sample(in_shape)``, computed once per shape.
+
+    A segment's forward FLOPs depend only on its layer structure and the
+    input shape, never on weights or on which parameters are frozen, so
+    the walk is memoized on the segment module itself (its ``_flops_memo``
+    maps ``in_shape`` to ``(flops, out_shape)``). Replacing a segment
+    (``adapt_to_task`` swaps ``model.head``) therefore starts a fresh memo
+    with the new module; nothing keyed on the model can go stale.
+    """
+    memo = vars(segment).setdefault("_flops_memo", {})
+    hit = memo.get(in_shape)
+    if hit is None:
+        flops, out_shape = segment.flops_per_sample(in_shape)
+        hit = memo[in_shape] = (flops, tuple(out_shape))
+    return hit
+
+
 def forward_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
     """Exact forward FLOPs for one sample through the whole model."""
-    flops, _ = model.flops_per_sample(in_shape)
-    return flops
+    return sum(segment_forward_flops(model, in_shape).values())
 
 
 def segment_forward_flops(
@@ -28,10 +46,9 @@ def segment_forward_flops(
 ) -> dict[str, int]:
     """Per-segment forward FLOPs for one sample."""
     out: dict[str, int] = {}
-    shape = in_shape
+    shape = tuple(in_shape)
     for name, segment in model.segments():
-        flops, shape = segment.flops_per_sample(shape)
-        out[name] = flops
+        out[name], shape = _segment_flops(segment, shape)
     return out
 
 
@@ -41,13 +58,17 @@ def training_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
     The backward pass costs ``BACKWARD_FORWARD_RATIO`` × the forward FLOPs of
     every segment from the lowest trainable one upward; segments below the
     frontier are never back-propagated through (``SegmentedModel.backward``).
+    The frontier is read from ``requires_grad`` on every call — freezing
+    changes it without touching the memoized structural FLOPs.
     """
     per_segment = segment_forward_flops(model, in_shape)
     total_forward = sum(per_segment.values())
-    trainable = {name for name, seg in model.segments() if seg.has_trainable()}
-    if not trainable:
+    frontier = next(
+        (i for i, (_, seg) in enumerate(model.segments()) if seg.has_trainable()),
+        None,
+    )
+    if frontier is None:
         return total_forward
-    frontier = min(SEGMENT_ORDER.index(name) for name in trainable)
     backward = sum(
         per_segment[name]
         for i, name in enumerate(SEGMENT_ORDER)

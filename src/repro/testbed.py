@@ -34,6 +34,19 @@ ENGINE_SMOKE = dict(
     image_size=8,
 )
 
+#: A 3-round, 64-client sync FedFT-EDS campaign on ragged Diri(0.1)
+#: shards that groups into cohorts: the 512-client benchmark's shape at
+#: tier-1 scale, for tests that count per-client work on the round path.
+COHORT_SYNC_SMOKE = dict(
+    rounds=3,
+    num_clients=64,
+    train_size=1920,
+    test_size=200,
+    pretrain_epochs=1,
+    image_size=8,
+    backend="serial",
+)
+
 
 def smoke_harness(seed: int = 0, **kwargs) -> ExperimentHarness:
     """The experiment harness both CI tests and benchmarks drive."""

@@ -12,12 +12,15 @@ budgeting, flat-lane recycling through the async aggregators, and
 kill-and-resume straight through a cohort round.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
+from repro.core import FedFTEDSConfig, run_fedft_eds
 from repro.core.heterogeneous import CapabilityTier, TieredClient
 from repro.core.partial import prepare_partial_model
-from repro.data.dataset import ArrayDataset
+from repro.data.dataset import ArrayDataset, Subset
 from repro.engine.aggregators import FedAsyncAggregator, FedBuffAggregator
 from repro.engine.backends import SerialBackend, ThreadPoolBackend, make_backend
 from repro.engine.runner import run_async_federated_training
@@ -38,6 +41,7 @@ from repro.nn.mlp import MLP
 from repro.nn.segmented import SegmentedModel
 from repro.nn.serialization import theta_keys
 from repro.obs.report import TelemetrySession
+from repro.testbed import COHORT_SYNC_SMOKE
 
 RNG = np.random.default_rng
 
@@ -489,3 +493,29 @@ def test_async_kill_and_resume_through_cohort_round(tmp_path):
         )
     assert _log_sig(log) == ref_log
     assert _theta_bytes(server) == ref_theta
+
+
+def test_round_path_makes_no_shard_copies(monkeypatch):
+    """Only the ϕ feature build gathers a client's shard, once per client.
+
+    Pricing a round needs the input shape and the cohort plan needs the
+    labels; neither may go through ``Subset.arrays``, which copies the
+    whole shard, once per client per round.
+    """
+    calls = collections.Counter()
+    original = Subset.arrays
+
+    def counting(self):
+        calls[id(self)] += 1
+        return original(self)
+
+    monkeypatch.setattr(Subset, "arrays", counting)
+    before = fastpath.COHORT_STATS["cohort_solves"]
+    result = run_fedft_eds(FedFTEDSConfig(seed=0, **COHORT_SYNC_SMOKE))
+    assert fastpath.COHORT_STATS["cohort_solves"] > before
+    clients = COHORT_SYNC_SMOKE["num_clients"]
+    assert sum(
+        len(r.participants) for r in result.history.records
+    ) == clients * COHORT_SYNC_SMOKE["rounds"]
+    assert len(calls) == clients
+    assert set(calls.values()) == {1}

@@ -54,6 +54,20 @@ def test_nested_subset():
     assert np.array_equal(x, full_x[[2, 6]])
 
 
+def test_input_shape_and_labels_read_without_gathering(monkeypatch):
+    """``input_shape``/``labels`` on (nested) subsets never call ``arrays``."""
+    ds = ArrayDataset(np.zeros((10, 3, 4, 5)), np.arange(10))
+    sub = ds.subset([0, 2, 4, 6]).subset([1, 3])
+    empty = ds.subset([])
+
+    def forbidden(self):
+        raise AssertionError("shape/label read gathered the shard")
+
+    monkeypatch.setattr(Subset, "arrays", forbidden)
+    assert ds.input_shape == sub.input_shape == empty.input_shape == (3, 4, 5)
+    assert np.array_equal(sub.labels, [2, 6])
+
+
 def test_dataloader_batches_cover_dataset():
     ds = make_dataset(17)
     loader = DataLoader(ds, batch_size=5)

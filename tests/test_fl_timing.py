@@ -1,10 +1,17 @@
 """The analytic timing model and its interaction with partial training."""
 
+import collections
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import FedFTEDSConfig, run_fedft_eds
+from repro.core.partial import adapt_to_task, prepare_partial_model
+from repro.fl import fastpath
 from repro.fl.timing import TimingModel
+from repro.nn.module import Module
+from repro.testbed import COHORT_SYNC_SMOKE
 
 RNG = np.random.default_rng
 SHAPE = (3, 4, 4)
@@ -91,3 +98,93 @@ def test_validation():
         timing.round_seconds(make_model(), SHAPE, -1, 10, 1, False)
     with pytest.raises(ValueError):
         timing.round_seconds(make_model(), SHAPE, 1, 10, 0, False)
+
+
+# ---------------------------------------------------------------------------
+# The per-segment structural FLOPs memo must never go stale
+# ---------------------------------------------------------------------------
+
+def _seconds(model, shape=SHAPE):
+    return TimingModel(flops_per_second=1e6).round_seconds(
+        model, shape, 10, 100, epochs=2, selection_forward=True
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda classes: nn.MLP(48, (16, 16, 16), classes, RNG(0)),
+        lambda classes: nn.SmallConvNet(classes, RNG(0), channels=(4, 8, 8)),
+    ],
+    ids=["mlp", "cnn"],
+)
+def test_round_seconds_after_adapt_to_task_matches_fresh_model(build):
+    """A swapped head is priced as the new head, not the memoized old one."""
+    model = prepare_partial_model(build(4), "moderate")
+    before = _seconds(model)
+    adapt_to_task(model, 9, RNG(1))
+    prepare_partial_model(model, "moderate")
+    fresh = prepare_partial_model(build(9), "moderate")
+    assert _seconds(model) == _seconds(fresh)
+    assert _seconds(model) != before
+
+
+def test_round_seconds_follows_fine_tune_level_switches():
+    """Re-freezing the same model moves the priced backward frontier."""
+    model = make_model()
+    seen = []
+    for level in ("full", "moderate", "classifier", "full"):
+        model.apply_fine_tune_level(level)
+        seen.append(_seconds(model))
+        assert seen[-1] == _seconds(make_model(level)), level
+    assert seen[0] > seen[1] > seen[2] and seen[3] == seen[0]
+
+
+def test_round_seconds_memo_is_keyed_by_input_shape():
+    """One model priced at two input shapes keeps both prices exact."""
+    model = prepare_partial_model(
+        nn.SmallConvNet(5, RNG(0), channels=(4, 8, 8)), "moderate"
+    )
+    small, large = (3, 8, 8), (3, 12, 12)
+    order = [small, large, small, large]
+    prices = [_seconds(model, shape) for shape in order]
+    for shape, price in zip(order, prices):
+        fresh = prepare_partial_model(
+            nn.SmallConvNet(5, RNG(0), channels=(4, 8, 8)), "moderate"
+        )
+        assert price == _seconds(fresh, shape)
+    assert prices[0] < prices[1]
+
+
+def _module_classes():
+    stack, seen = [Module], []
+    while stack:
+        cls = stack.pop()
+        seen.append(cls)
+        stack.extend(cls.__subclasses__())
+    return [cls for cls in seen if "flops_per_sample" in vars(cls)]
+
+
+def test_cohort_sync_run_walks_each_module_once_per_shape(monkeypatch):
+    """192 priced client rounds cost one FLOPs walk per segment and shape.
+
+    Every ``flops_per_sample`` implementation is wrapped; a module walked
+    twice for the same input shape means some pricing path bypasses the
+    per-segment memo. Walked modules stay referenced so ids are not reused.
+    """
+    calls = collections.Counter()
+    walked = []
+    for cls in _module_classes():
+        original = vars(cls)["flops_per_sample"]
+
+        def counting(self, in_shape, _original=original):
+            calls[id(self), tuple(in_shape)] += 1
+            walked.append(self)
+            return _original(self, in_shape)
+
+        monkeypatch.setattr(cls, "flops_per_sample", counting)
+    before = fastpath.COHORT_STATS["cohort_solves"]
+    run_fedft_eds(FedFTEDSConfig(seed=0, **COHORT_SYNC_SMOKE))
+    assert fastpath.COHORT_STATS["cohort_solves"] > before
+    assert calls, "the run priced no rounds"
+    assert max(calls.values()) == 1
