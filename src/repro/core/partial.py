@@ -54,11 +54,10 @@ def partial_workload_fraction(
     training step costs 40% of a full-model step on the same data.
     """
     current = profiling.training_flops_per_sample(model, in_shape)
-    frozen_flags = [p.requires_grad for p in model.parameters()]
+    trainable = {name: p.requires_grad for name, p in model.named_parameters()}
     model.unfreeze()
     full = profiling.training_flops_per_sample(model, in_shape)
-    for p, flag in zip(model.parameters(), frozen_flags):
-        p.requires_grad = flag
+    model.set_trainable(trainable.__getitem__)
     if full <= 0:
         raise RuntimeError("model reports zero training FLOPs")
     return current / full

@@ -161,20 +161,16 @@ class ExecutionBackend:
         block-stacked job instead of N per-client jobs) while one handle
         per client still comes back — results are bitwise identical to N
         :meth:`submit` calls, each handle resolving to its client's
-        LocalUpdate. The whole wave shares one ϕ fingerprint probe:
-        nothing can mutate the frozen prefix between two lookups of one
-        dispatch, and clients left out of every cohort reuse the wave's
-        features instead of probing again.
+        LocalUpdate. Clients left out of every cohort reuse the features
+        looked up for the grouping.
         """
         if self.feature_runtime is None:
             return [
                 self.submit(client, template, global_state, timing)
                 for client in clients
             ]
-        chain = template.phi_prefix_chain()
         features = [
-            self._ensure_features(client, template, chain=chain)
-            for client in clients
+            self._ensure_features(client, template) for client in clients
         ]
         handles: list = [None] * len(clients)
         if len(clients) > 1:
@@ -202,15 +198,11 @@ class ExecutionBackend:
                 )
         return handles
 
-    def _ensure_features(self, client, template, chain=None):
-        """The client's cached ϕ(shard) handle, or None to run full-forward.
-
-        ``chain`` is the wave's ϕ prefix chain when :meth:`submit_many`
-        already probed it; None probes afresh.
-        """
+    def _ensure_features(self, client, template):
+        """The client's cached ϕ(shard) handle, or None to run full-forward."""
         if self.feature_runtime is None:
             return None
-        return self.feature_runtime.features_for(client, template, chain=chain)
+        return self.feature_runtime.features_for(client, template)
 
     @staticmethod
     def _feature_shape(features) -> tuple | None:
@@ -1755,7 +1747,7 @@ class ProcessPoolBackend(ExecutionBackend):
         return _SegmentRef(shm=shm, layout=layout)
 
     def _ensure_features(
-        self, client, template: SegmentedModel, chain=None
+        self, client, template: SegmentedModel
     ) -> "_SegmentRef | None":
         """The client's ϕ(shard) feature segment, built/published on first use.
 
@@ -1764,21 +1756,18 @@ class ProcessPoolBackend(ExecutionBackend):
         — published once per campaign. Returns None when caching is off,
         the client opts out, or the template has no frozen prefix.
 
-        The fingerprint is recomputed per call — never served from the
-        parent-side memo — mirroring
-        :meth:`~repro.fl.features.FeatureRuntime.features_for`: the hash
-        *is* the invalidation mechanism, so a ϕ mutated mid-run (or a new
-        template object reusing a freed id) can never be handed stale
-        features. ``chain`` is the one sanctioned shortcut: a single
-        dispatch wave (``submit_many``) probes the chain once and shares
-        it — ϕ cannot mutate between two lookups of the same wave.
+        The segment memo is keyed by the fingerprint itself, read from the
+        template's freeze-generation memo as in
+        :meth:`~repro.fl.features.FeatureRuntime.features_for`: ϕ is
+        read-only while that memo is served and any sanctioned change to
+        it re-hashes, so a changed ϕ (or a new template object reusing a
+        freed id) can never be handed stale features.
         """
         if self.feature_runtime is None or not getattr(
             client, "supports_feature_cache", True
         ):
             return None
-        if chain is None:
-            chain = template.phi_prefix_chain()
+        chain = template.phi_prefix_chain()
         if not chain:
             return None
         fingerprint = chain[-1]

@@ -46,7 +46,6 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -454,6 +453,22 @@ def _jsonable(obj):
     return obj
 
 
+def _json_default(obj):
+    """``json.dumps`` hook encoding numpy values exactly as :func:`_jsonable`.
+
+    Letting the C encoder walk the payload and call back only for numpy
+    objects writes the same bytes as ``json.dump(_jsonable(payload))``
+    without a Python-level pre-walk of every RNG state.
+    """
+    if isinstance(obj, np.ndarray):
+        return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _unjsonable(obj):
     if isinstance(obj, dict):
         if "__ndarray__" in obj:
@@ -469,12 +484,12 @@ def _unjsonable(obj):
 _fsync_file = fsync_path
 
 
-def _current_generation(path: str) -> int:
-    """Generation of the committed checkpoint in ``path`` (0 if none)."""
+def _current_generation(path: str, manifest: dict | None) -> int:
+    """Generation of the checkpoint in ``path`` whose committed manifest
+    :func:`_read_manifest` returned as ``manifest`` (0 if none)."""
     try:
-        with open(os.path.join(path, _ASYNC_STATE_FILE)) as handle:
-            return int(json.load(handle)["generation"])
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError):
+        return int(manifest["generation"])
+    except (TypeError, KeyError, ValueError):
         # No committed manifest (or a legacy/torn one): derive from the
         # payload files present so new writes never reuse their names.
         generation = 0
@@ -489,8 +504,13 @@ def _current_generation(path: str) -> int:
 
 
 def _record_line(record) -> bytes:
-    """One journal line for an event record; stable across saves."""
-    payload = asdict(record) if not isinstance(record, dict) else record
+    """One journal line for an event record; stable across saves.
+
+    An :class:`~repro.engine.records.EventRecord` holds only scalars, so
+    its field dict encodes exactly as ``asdict`` would, without the deep
+    copy.
+    """
+    payload = vars(record) if not isinstance(record, dict) else record
     return (json.dumps(payload) + "\n").encode()
 
 
@@ -750,7 +770,7 @@ def _save_async_checkpoint(
 ) -> None:
     os.makedirs(path, exist_ok=True)
     previous = _read_manifest(path)
-    generation = _current_generation(path) + 1
+    generation = _current_generation(path, previous) + 1
     files = {
         payload: f"async_{payload}-{generation}.npz"
         for payload in _ASYNC_PAYLOADS
@@ -790,15 +810,12 @@ def _save_async_checkpoint(
             else None
         ),
         "clock_now": state.clock_now,
-        "scheduler_rng_state": _jsonable(state.scheduler_rng_state),
+        "scheduler_rng_state": state.scheduler_rng_state,
         "idle_rng_states": {
-            str(cid): _jsonable(rng_state)
+            str(cid): rng_state
             for cid, rng_state in state.idle_rng_states.items()
         },
-        "pending": [
-            {**pending, "rng_state": _jsonable(pending["rng_state"])}
-            for pending in state.pending
-        ],
+        "pending": state.pending,
         "next_seq": state.next_seq,
         "buffer_weights": [
             weight for _, weight in state.aggregator_state
@@ -820,10 +837,11 @@ def _save_async_checkpoint(
         os.path.getsize(os.path.join(path, name)) for name in files.values()
     )
     manifest = os.path.join(path, _ASYNC_STATE_FILE)
+    text = json.dumps(payload, default=_json_default)
 
     def write_manifest(staging: str) -> None:
         with open(staging, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
 
     # Chaos tear hook: die after the payloads are durable, before the
     # manifest commit — journal bytes past the committed offset and the

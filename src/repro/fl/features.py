@@ -337,7 +337,7 @@ class FeatureRuntime:
         return evicted
 
     def features_for(
-        self, client, model: SegmentedModel, chain=None
+        self, client, model: SegmentedModel
     ) -> np.ndarray | None:
         """Cached ϕ(shard) for ``client`` under ``model``'s frozen prefix.
 
@@ -345,20 +345,16 @@ class FeatureRuntime:
         cache) or the client opts out (``supports_feature_cache`` False —
         e.g. tiered clients that re-freeze the model per round).
 
-        The fingerprint chain is deliberately recomputed per call rather
-        than memoized per model: the O(|ϕ|) hash *is* the invalidation
-        mechanism (a mutated ϕ must never be served stale features), and
-        it is orders of magnitude cheaper than the O(n·FLOPs) forward it
-        replaces — the benchmark's speedup already includes this tax. The
-        one sanctioned exception is ``chain``: a scheduler dispatching a
-        single round's wave may probe ``model.phi_prefix_chain()`` once
-        and share it across the wave's lookups — nothing can mutate ϕ
-        between two lookups of the same dispatch.
+        The fingerprint chain comes from the model's freeze-generation
+        memo (:meth:`~repro.nn.segmented.SegmentedModel.phi_prefix_chain`):
+        ϕ is read-only while the memo is served, and every sanctioned
+        change to it (a freeze-flag change, ``load_state_dict`` into ϕ)
+        starts a new generation whose chain is hashed afresh — so a
+        changed ϕ is never served stale features.
         """
         if not getattr(client, "supports_feature_cache", True):
             return None
-        if chain is None:
-            chain = model.phi_prefix_chain()
+        chain = model.phi_prefix_chain()
         if not chain:
             return None
         fingerprint = chain[-1]

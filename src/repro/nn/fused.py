@@ -621,12 +621,11 @@ class FusedHeadPlan:
         weight_decay: float,
         prox_mu: float,
     ) -> None:
-        # grad = 0 + raw gradient, flat — element for element the same as
+        # grad = raw gradient + 0, flat — element for element the same as
         # zeroed ``Parameter.grad`` receiving ``+=`` per parameter (the
-        # 0 + (−0) sign edge included).
+        # 0 + (−0) sign edge included: IEEE addition commutes bitwise).
         acc = self._acc_flat
-        acc[...] = 0.0
-        np.add(acc, self._tmp_flat, out=acc)
+        np.add(self._tmp_flat, 0.0, out=acc)
         # Parameter data lives in _data_flat (adopt_params) and the FedProx
         # reference in _ref_flat (gather_refs), so EVERY solver config runs
         # the update as ufuncs over the flat concatenation. Parameters are
@@ -1133,8 +1132,7 @@ class CohortPlan:
         # theta_row broadcasts as the FedProx reference (the per-client
         # reference is the broadcast θ, gathered slot for slot).
         acc = self._acc_stack
-        acc[...] = 0.0
-        np.add(acc, self._tmp_stack, out=acc)
+        np.add(self._tmp_stack, 0.0, out=acc)
         data = self._data_stack
         t1 = self._t1_stack
         grad = acc

@@ -3,13 +3,52 @@
 Modules cache whatever they need during ``forward`` and consume the cache in
 ``backward``; a module therefore supports exactly one outstanding
 forward/backward pair, which is all the training loops in this project need.
+
+Freeze state is enforced on the arrays themselves: a frozen parameter's
+``data`` is read-only, so an in-place write to the frozen feature extractor
+ϕ raises instead of silently changing it. Every change to *which* arrays
+are frozen, or to what a frozen array holds, bumps one process-wide
+:func:`freeze_generation`; values derived from the freeze state (the
+trainable frontier, ϕ's fingerprint chain — see
+:class:`~repro.nn.segmented.SegmentedModel`) are memoized per generation
+instead of being recomputed per use. :meth:`Module.load_state_dict` is the
+one sanctioned path that writes into frozen arrays.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterator
 
 import numpy as np
+
+_generation = 0
+_generation_lock = threading.Lock()
+
+
+def freeze_generation() -> int:
+    """The current freeze generation (see the module docstring)."""
+    return _generation
+
+
+def bump_freeze_generation() -> None:
+    """Invalidate every memo keyed on the freeze generation."""
+    global _generation
+    with _generation_lock:
+        _generation += 1
+
+
+def seal(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only, owning its bytes.
+
+    A view is copied first: the read-only flag does not travel to the base
+    or to sibling views, so a sealed view could still change under a
+    write through them (e.g. a fused plan's parameter slab).
+    """
+    if not array.flags.owndata:
+        array = array.copy()
+    array.flags.writeable = False
+    return array
 
 
 class Parameter:
@@ -18,14 +57,38 @@ class Parameter:
     ``requires_grad`` implements the paper's partial-training split: frozen
     parameters (the feature extractor ϕ) keep ``requires_grad = False`` so
     optimisers skip them and layers skip computing their weight gradients.
+    A frozen parameter's ``data`` is read-only (:func:`seal`); unfreezing
+    makes it writeable again. Changing the flag, or rebinding a frozen
+    parameter's ``data``, bumps the freeze generation.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = True):
+        object.__setattr__(self, "requires_grad", bool(requires_grad))
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
-        self.requires_grad = requires_grad
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "requires_grad":
+            value = bool(value)
+            if value != getattr(self, "requires_grad", True):
+                data = getattr(self, "data", None)
+                if data is not None:
+                    if value:
+                        data.flags.writeable = True
+                    else:
+                        object.__setattr__(self, "data", seal(data))
+                bump_freeze_generation()
+        elif name == "data" and not getattr(self, "requires_grad", True):
+            value = seal(value)
+            bump_freeze_generation()
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Pickled and deep-copied arrays come back writeable; rebuilding
+        # through the setters re-seals a frozen parameter.
+        return (_rebuild_parameter, (self.data, self.grad, self.requires_grad))
 
     @property
     def shape(self) -> tuple:
@@ -41,6 +104,16 @@ class Parameter:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = "" if self.requires_grad else ", frozen"
         return f"Parameter(shape={self.data.shape}{flag})"
+
+
+def _rebuild_parameter(
+    data: np.ndarray, grad: np.ndarray, requires_grad: bool
+) -> Parameter:
+    param = Parameter.__new__(Parameter)
+    object.__setattr__(param, "requires_grad", requires_grad)
+    param.data = data
+    param.grad = grad
+    return param
 
 
 class Module:
@@ -61,14 +134,17 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            bump_freeze_generation()
         elif isinstance(value, Module):
             self._modules[name] = value
+            bump_freeze_generation()
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-trainable persistent array (e.g. BN running stats)."""
         self._buffers[name] = np.asarray(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
+        bump_freeze_generation()
 
     def _set_buffer(self, name: str, value: np.ndarray) -> None:
         """Update a registered buffer in place, keeping aliases consistent."""
@@ -140,18 +216,24 @@ class Module:
         """Mark every parameter in this subtree as non-trainable."""
         for p in self.parameters():
             p.requires_grad = False
+        self._freeze_changed()
         return self
 
     def unfreeze(self) -> "Module":
         for p in self.parameters():
             p.requires_grad = True
+        self._freeze_changed()
         return self
 
     def set_trainable(self, predicate: Callable[[str], bool]) -> "Module":
         """Set ``requires_grad`` per parameter from a predicate on its name."""
         for name, p in self.named_parameters():
             p.requires_grad = bool(predicate(name))
+        self._freeze_changed()
         return self
+
+    def _freeze_changed(self) -> None:
+        """Hook run after this subtree's freeze flags were (re)set."""
 
     def has_trainable(self) -> bool:
         return any(p.requires_grad for p in self.iter_parameters())
@@ -169,6 +251,10 @@ class Module:
 
         With ``strict=False`` keys missing from ``state`` are left untouched
         (used to load only the trainable part θ received from the server).
+
+        The one sanctioned write into frozen (read-only) arrays: the flag is
+        lifted for the write and restored, and the freeze generation bumps
+        once if any frozen array was written. Loading only θ bumps nothing.
         """
         params = dict(self.named_parameters())
         buffers = {name: (mod, b_name)
@@ -183,18 +269,31 @@ class Module:
             missing = known - set(state)
             if missing:
                 raise KeyError(f"missing keys in state dict: {sorted(missing)}")
-        for name, value in state.items():
-            if name in params:
-                target = params[name]
-                if target.data.shape != np.shape(value):
-                    raise ValueError(
-                        f"shape mismatch for {name}: "
-                        f"{target.data.shape} vs {np.shape(value)}"
-                    )
-                target.data[...] = value
-            else:
-                mod, b_name = buffers[name]
-                mod._set_buffer(b_name, value)
+        wrote_frozen = False
+        try:
+            for name, value in state.items():
+                if name in params:
+                    target = params[name].data
+                    if target.shape != np.shape(value):
+                        raise ValueError(
+                            f"shape mismatch for {name}: "
+                            f"{target.shape} vs {np.shape(value)}"
+                        )
+                else:
+                    mod, b_name = buffers[name]
+                    target = mod._buffers[b_name]
+                if target.flags.writeable:
+                    target[...] = value
+                    continue
+                wrote_frozen = True
+                target.flags.writeable = True
+                try:
+                    target[...] = value
+                finally:
+                    target.flags.writeable = False
+        finally:
+            if wrote_frozen:
+                bump_freeze_generation()
 
     # -- compute ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -58,15 +58,13 @@ def training_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
     The backward pass costs ``BACKWARD_FORWARD_RATIO`` × the forward FLOPs of
     every segment from the lowest trainable one upward; segments below the
     frontier are never back-propagated through (``SegmentedModel.backward``).
-    The frontier is read from ``requires_grad`` on every call — freezing
-    changes it without touching the memoized structural FLOPs.
+    The frontier comes from the model's freeze-generation memo
+    (:meth:`~repro.nn.segmented.SegmentedModel.trainable_frontier`), so
+    freezing moves it without touching the memoized structural FLOPs.
     """
     per_segment = segment_forward_flops(model, in_shape)
     total_forward = sum(per_segment.values())
-    frontier = next(
-        (i for i, (_, seg) in enumerate(model.segments()) if seg.has_trainable()),
-        None,
-    )
+    frontier = model.trainable_frontier()
     if frontier is None:
         return total_forward
     backward = sum(

@@ -5,6 +5,15 @@ upper part θ, selecting the split point by named layer group ("fine-tune
 from layer 3"). :class:`SegmentedModel` formalises that: a model is an
 ordered chain of named segments ``stem → low → mid → up → head``, and
 freezing/truncated-backward/activation-collection all key off segment names.
+
+What depends on the freeze state — the trainable frontier, the frozen
+split and ϕ's fingerprint chain — is memoized per model under the key
+(:func:`~repro.nn.module.freeze_generation`, identity of the five segment
+objects). The generation covers every flag change and every sanctioned
+write into ϕ; segment identity covers a segment being swapped out
+(``adapt_to_task`` replaces ``model.head``). While a memo is served, ϕ's
+parameters are read-only (frozen) and so are its buffers (sealed when the
+memo is refreshed), so no unsanctioned write can make it stale.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import hashlib
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, freeze_generation, seal
 
 #: Segment order shared by every model in this project.
 SEGMENT_ORDER = ("stem", "low", "mid", "up", "head")
@@ -42,6 +51,48 @@ class SegmentedModel(Module):
     def segments(self) -> list[tuple[str, Module]]:
         return [(name, getattr(self, name)) for name in SEGMENT_ORDER]
 
+    # -- freeze-state memo ----------------------------------------------------
+    def _freeze_memo(self) -> list:
+        """``[key, frontier, chain]`` for the current freeze state.
+
+        ``frontier`` is the index of the lowest segment with a trainable
+        parameter (None when nothing trains); ``chain`` is ϕ's fingerprint
+        chain, hashed on first request. A refresh seals the buffers of ϕ's
+        segments and unseals the rest's (module docstring).
+        """
+        segments = tuple(getattr(self, name) for name in SEGMENT_ORDER)
+        key = (freeze_generation(), segments)
+        memo = self.__dict__.get("_freeze_state")
+        if memo is not None and memo[0] == key:
+            return memo
+        frontier = next(
+            (i for i, segment in enumerate(segments) if segment.has_trainable()),
+            None,
+        )
+        for i, segment in enumerate(segments):
+            _seal_buffers(segment, i < (frontier or 0))
+        memo = [key, frontier, None]
+        object.__setattr__(self, "_freeze_state", memo)
+        return memo
+
+    def _freeze_changed(self) -> None:
+        self._freeze_memo()
+
+    def __getstate__(self) -> dict:
+        # Generations are per process: a memo must not travel.
+        state = dict(self.__dict__)
+        state.pop("_freeze_state", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickled and deep-copied buffers come back writeable: re-seal ϕ's.
+        self.__dict__.update(state)
+        self._freeze_memo()
+
+    def trainable_frontier(self) -> int | None:
+        """Index of the lowest segment with a trainable parameter, or None."""
+        return self._freeze_memo()[1]
+
     # -- compute -----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         for _, segment in self.segments():
@@ -51,11 +102,7 @@ class SegmentedModel(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         """Backward pass that stops below the lowest trainable segment."""
         segs = self.segments()
-        lowest = None
-        for i, (_, segment) in enumerate(segs):
-            if segment.has_trainable():
-                lowest = i
-                break
+        lowest = self.trainable_frontier()
         grad = grad_out
         for i in range(len(segs) - 1, -1, -1):
             if lowest is not None and i < lowest:
@@ -86,13 +133,7 @@ class SegmentedModel(Module):
         already trainable — or when *nothing* is trainable, since a model
         with no θ has no meaningful ϕ/θ split to cache against.
         """
-        segs = self.segments()
-        split = 0
-        for _, segment in segs:
-            if segment.has_trainable():
-                return split
-            split += 1
-        return 0
+        return self._freeze_memo()[1] or 0
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Forward through the frozen prefix ϕ only (segments below θ)."""
@@ -138,27 +179,14 @@ class SegmentedModel(Module):
         split's ϕ(x) from the shallower split's cached arrays instead of
         re-running ϕ from the raw inputs (prefix-chain keying, see
         :mod:`repro.fl.features`). Empty without a frozen prefix.
+
+        Hashed once per freeze generation (module docstring); later calls
+        return a copy of the memoized chain.
         """
-        split = self.frozen_split_index()
-        if split == 0:
-            return []
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(type(self).__name__.encode())
-        chain: list[str] = []
-        for name, segment in self.segments()[:split]:
-            digest.update(name.encode())
-            for p_name, param in sorted(segment.named_parameters(name)):
-                digest.update(p_name.encode())
-                digest.update(str(param.data.dtype).encode())
-                digest.update(repr(param.data.shape).encode())
-                digest.update(np.ascontiguousarray(param.data).data)
-            for b_name, buf in sorted(segment.named_buffers(name)):
-                digest.update(b_name.encode())
-                digest.update(str(buf.dtype).encode())
-                digest.update(repr(buf.shape).encode())
-                digest.update(np.ascontiguousarray(buf).data)
-            chain.append(digest.copy().hexdigest())
-        return chain
+        memo = self._freeze_memo()
+        if memo[2] is None:
+            memo[2] = hash_phi_prefix(self, memo[1] or 0)
+        return list(memo[2])
 
     # -- partial fine-tuning --------------------------------------------------
     def apply_fine_tune_level(self, level: str) -> "SegmentedModel":
@@ -174,6 +202,7 @@ class SegmentedModel(Module):
                 segment.freeze()
             else:
                 segment.unfreeze()
+        self._freeze_changed()
         return self
 
     def set_partial_train_mode(self) -> "SegmentedModel":
@@ -204,3 +233,42 @@ class SegmentedModel(Module):
             flops, shape = segment.flops_per_sample(shape)
             total += flops
         return total, shape
+
+
+def hash_phi_prefix(model: SegmentedModel, split: int) -> list[str]:
+    """The BLAKE2b-128 chain over ``model``'s first ``split`` segments.
+
+    Element ``k-1`` digests the model type and, segment by segment up to
+    ``k``, every parameter's and buffer's name, dtype, shape and bytes
+    (see :meth:`SegmentedModel.phi_prefix_chain`, its only caller).
+    """
+    if split == 0:
+        return []
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(type(model).__name__.encode())
+    chain: list[str] = []
+    for name, segment in model.segments()[:split]:
+        digest.update(name.encode())
+        for p_name, param in sorted(segment.named_parameters(name)):
+            digest.update(p_name.encode())
+            digest.update(str(param.data.dtype).encode())
+            digest.update(repr(param.data.shape).encode())
+            digest.update(np.ascontiguousarray(param.data).data)
+        for b_name, buf in sorted(segment.named_buffers(name)):
+            digest.update(b_name.encode())
+            digest.update(str(buf.dtype).encode())
+            digest.update(repr(buf.shape).encode())
+            digest.update(np.ascontiguousarray(buf).data)
+        chain.append(digest.copy().hexdigest())
+    return chain
+
+
+def _seal_buffers(segment: Module, sealed: bool) -> None:
+    """Make every buffer under ``segment`` read-only, or writeable again."""
+    for _, module in segment.named_modules():
+        for name, buf in list(module._buffers.items()):
+            if sealed and buf.flags.writeable:
+                buf = module._buffers[name] = seal(buf)
+                object.__setattr__(module, name, buf)
+            elif not sealed and not buf.flags.writeable:
+                buf.flags.writeable = True

@@ -669,6 +669,68 @@ def test_legacy_inline_record_manifest_still_loads(tmp_path):
         )
 
 
+def test_async_manifest_bytes_match_the_jsonable_encoding(tmp_path):
+    """The manifest is encoded by one ``json.dumps`` with a numpy hook; its
+    bytes equal the previous encoding (``_jsonable`` over every RNG state,
+    then ``json.dump``) for PCG64, Philox and SFC64 states and pending
+    jobs, numpy scalars inside a state included. Journal lines keep the
+    ``asdict`` encoding."""
+    import io
+    import json
+
+    from repro.fl.checkpoint import _jsonable, save_async_checkpoint
+
+    _run_with_checkpoints(os.path.join(tmp_path, "run"), every=4)
+    state = load_async_checkpoint(os.path.join(tmp_path, "run"))
+    assert state.pending
+    generators = (np.random.PCG64, np.random.Philox, np.random.SFC64)
+    state.scheduler_rng_state = np.random.Philox(3).state
+    state.idle_rng_states = {
+        cid: generators[i % 3](cid).state
+        for i, cid in enumerate(range(7))
+    }
+    for i, pending in enumerate(state.pending):
+        pending["rng_state"] = generators[i % 3](100 + i).state
+    scalars = np.random.SFC64(9).state
+    scalars["has_uint32"] = np.int64(1)
+    scalars["uinteger"] = np.uint32(7)
+    scalars["weight"] = np.float32(0.1)
+    state.pending[0]["rng_state"] = scalars
+
+    path = os.path.join(tmp_path, "ckpt")
+    save_async_checkpoint(path, state)
+    with open(os.path.join(path, "async_state.json")) as fh:
+        written = fh.read()
+    # Every other field is plain JSON, which round-trips byte for byte.
+    payload = json.loads(written)
+    payload["scheduler_rng_state"] = _jsonable(state.scheduler_rng_state)
+    payload["idle_rng_states"] = {
+        str(cid): _jsonable(rng_state)
+        for cid, rng_state in state.idle_rng_states.items()
+    }
+    payload["pending"] = [
+        {**pending, "rng_state": _jsonable(pending["rng_state"])}
+        for pending in state.pending
+    ]
+    expected = io.StringIO()
+    json.dump(payload, expected)
+    assert written == expected.getvalue()
+    # journal lines: the record's fields encode exactly as ``asdict``'s
+    from dataclasses import asdict
+
+    from repro.fl.checkpoint import _record_line
+
+    assert state.records
+    for record in state.records:
+        assert _record_line(record) == (json.dumps(asdict(record)) + "\n").encode()
+    loaded = load_async_checkpoint(path)
+    assert loaded.idle_rng_states[2]["bit_generator"] == "SFC64"
+    np.testing.assert_array_equal(
+        loaded.idle_rng_states[1]["state"]["key"],
+        state.idle_rng_states[1]["state"]["key"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Emergency checkpoints under chaos (repro.engine.faults)
 # ---------------------------------------------------------------------------

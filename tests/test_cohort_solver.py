@@ -37,8 +37,9 @@ from repro.fl.server import Server
 from repro.fl.slab import SlabLayout, make_slab_state
 from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
+from repro.nn import segmented
 from repro.nn.mlp import MLP
-from repro.nn.segmented import SegmentedModel
+from repro.nn.module import freeze_generation
 from repro.nn.serialization import theta_keys
 from repro.obs.report import TelemetrySession
 from repro.testbed import COHORT_SYNC_SMOKE
@@ -326,27 +327,40 @@ def test_backend_opt_out_disables_grouping():
 
 
 @pytest.mark.parametrize("owned", [True, False], ids=["no-backend", "serial"])
-def test_one_phi_probe_per_sync_round(owned, monkeypatch):
-    """A round's wave probes the ϕ fingerprint chain exactly once: clients
-    left out of every cohort reuse the wave's features."""
+def test_one_phi_hash_per_freeze_generation(owned, monkeypatch):
+    """ϕ is hashed once per freeze generation, not once per lookup: every
+    client's features are looked up once per round (clients left out of
+    every cohort reuse the grouping's lookup), and all lookups between two
+    writes into ϕ share one hash."""
     server, clients = _build(sizes=[40, 40, 40, 26])  # cohort + singleton
     clients.append(_make_client(4, cohort=False))     # per-client opt-out
-    server.cache_features = False  # evaluation would probe ϕ too
-    calls = []
-    probe = SegmentedModel.phi_prefix_chain
+    # Uncached evaluation full-loads the global state into the template
+    # after every round: a sanctioned write into ϕ, so a new generation.
+    server.cache_features = False
+    hashes, lookups = [], []
+    hash_phi_prefix = segmented.hash_phi_prefix
+    features_for = FeatureRuntime.features_for
 
-    def counting(model):
-        calls.append(model)
-        return probe(model)
+    def counting_hash(model, split):
+        hashes.append((model, freeze_generation()))
+        return hash_phi_prefix(model, split)
 
-    monkeypatch.setattr(SegmentedModel, "phi_prefix_chain", counting)
+    def counting_lookup(runtime, client, model):
+        lookups.append(client)
+        return features_for(runtime, client, model)
+
+    monkeypatch.setattr(segmented, "hash_phi_prefix", counting_hash)
+    monkeypatch.setattr(FeatureRuntime, "features_for", counting_lookup)
     before = dict(fastpath.COHORT_STATS)
     if owned:
         _run_sync(server, clients, runtime=FeatureRuntime())
     else:
         with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
             _run_sync(server, clients, backend)
-    assert len(calls) == 3
+    assert len(lookups) == 3 * len(clients)
+    assert len(hashes) == 3  # one per round: each follows a reload of ϕ
+    assert len(set(hashes)) == len(hashes)
+    assert all(model is server.model for model, _ in hashes)
     for key in ("cohort_solves", "singletons", "fallback_opt_out"):
         assert fastpath.COHORT_STATS[key] - before[key] == 3, key
 

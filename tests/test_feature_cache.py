@@ -130,11 +130,24 @@ def test_phi_fingerprint_keys_the_split_and_the_weights():
     # no frozen prefix -> no fingerprint (nothing to cache)
     prepare_partial_model(model, "full")
     assert model.phi_fingerprint() is None
-    # different ϕ weights -> different fingerprint
+    # frozen ϕ is read-only: an in-place write raises and changes nothing
     prepare_partial_model(model, "moderate")
     with_weights = model.phi_fingerprint()
-    model.stem.layers[0].weight.data += 1e-3
-    assert model.phi_fingerprint() != with_weights
+    weight = model.stem.layers[0].weight
+    with pytest.raises(ValueError):
+        weight.data += 1e-3
+    assert model.phi_fingerprint() == with_weights
+    # different ϕ weights -> different fingerprint, through either
+    # sanctioned write path
+    model.stem.unfreeze()
+    weight.data += 1e-3
+    model.stem.freeze()
+    unfrozen_write = model.phi_fingerprint()
+    assert unfrozen_write != with_weights
+    state = model.state_dict()
+    state["stem.layer0.weight"] = state["stem.layer0.weight"] + 1e-3
+    model.load_state_dict(state)
+    assert model.phi_fingerprint() not in (with_weights, unfrozen_write)
 
 
 def test_feature_runtime_builds_once_and_invalidates_on_phi_change():
@@ -151,9 +164,17 @@ def test_feature_runtime_builds_once_and_invalidates_on_phi_change():
     again = runtime.features_for(client, model)
     assert first is again
     assert runtime.stats["builds"] == 1 and runtime.stats["hits"] == 1
-    # mutating ϕ changes the fingerprint: a fresh entry is built, the
-    # stale one can never be served for the new ϕ
-    model.stem.layers[0].weight.data += 1e-3
+    # an in-place write into frozen ϕ raises; the entry stays valid
+    weight = model.stem.layers[0].weight
+    with pytest.raises(ValueError):
+        weight.data += 1e-3
+    assert runtime.features_for(client, model) is first
+    assert runtime.stats["builds"] == 1 and runtime.stats["hits"] == 2
+    # changing ϕ through the sanctioned path changes the fingerprint: a
+    # fresh entry is built, the stale one can never be served for the new ϕ
+    model.stem.unfreeze()
+    weight.data += 1e-3
+    model.stem.freeze()
     rebuilt = runtime.features_for(client, model)
     assert rebuilt is not first
     assert runtime.stats["builds"] == 2
@@ -180,7 +201,7 @@ def test_feature_runtime_anonymous_entries_die_with_the_client():
 
 
 def test_process_backend_feature_segments_invalidate_on_phi_change():
-    """The parent-side segment memo is fingerprint-keyed, so a mutated ϕ
+    """The parent-side segment memo is fingerprint-keyed, so a changed ϕ
     builds a fresh segment instead of serving the stale one."""
     model = SmallConvNet(4, RNG(0), channels=(4, 4, 4))
     prepare_partial_model(model, "moderate")
@@ -194,7 +215,12 @@ def test_process_backend_feature_segments_invalidate_on_phi_change():
     try:
         first = backend._ensure_features(client, model)
         assert backend._ensure_features(client, model) is first
-        model.stem.layers[0].weight.data += 1e-3
+        with pytest.raises(ValueError):
+            model.stem.layers[0].weight.data += 1e-3
+        assert backend._ensure_features(client, model) is first
+        state = model.state_dict()
+        state["stem.layer0.weight"] = state["stem.layer0.weight"] + 1e-3
+        model.load_state_dict(state)
         rebuilt = backend._ensure_features(client, model)
         assert rebuilt is not first
         assert backend.stats["feature_segments"] == 2
@@ -354,9 +380,15 @@ def test_server_evaluate_self_heals_after_workspace_phi_mutation():
     cached_server, _ = _conv_federation(cache=True)
     reference, _ = _conv_federation(cache=False)
     assert cached_server.evaluate() == reference.evaluate()
-    # simulate a tiered client retraining part of ϕ in the workspace
+    # ϕ cannot be written behind the server's back
+    with pytest.raises(ValueError):
+        cached_server.model.mid.layers[0].weight.data += 0.05
+    # simulate a tiered client retraining part of ϕ in the workspace: it
+    # unfreezes the segment, trains it and re-freezes it
     for server in (cached_server, reference):
+        server.model.mid.unfreeze()
         server.model.mid.layers[0].weight.data += 0.05
+        server.model.mid.freeze()
     assert cached_server.evaluate() == reference.evaluate()
     assert cached_server.eval_stats["full_loads"] == 2  # self-healed
     # clean workspace again: the fast path resumes

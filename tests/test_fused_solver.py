@@ -67,6 +67,41 @@ def test_row_canonical_matmul_into_matches_allocating():
         assert out2.tobytes() == expected.tobytes()
 
 
+def test_step_gradient_seed_is_bitwise_the_zero_fill_then_add():
+    """Both plans' ``_step`` seed the gradient accumulator with one
+    ``np.add(tmp, 0.0, out=acc)`` instead of zero-filling ``acc`` and adding
+    ``tmp`` into it; the bits agree over the IEEE edge values."""
+    bits = np.array(
+        [
+            0x0000000000000000,  # +0.0
+            0x8000000000000000,  # -0.0
+            0x7FF8000000000000,  # +NaN
+            0xFFF8000000000000,  # -NaN
+            0x7FF800000000BEEF,  # +NaN with a payload
+            0xFFFDEADBEEF00001,  # -NaN with a payload
+            0x7FF0000000000001,  # signalling +NaN
+            0xFFF4000000000123,  # signalling -NaN with a payload
+            0x7FF0000000000000,  # +inf
+            0xFFF0000000000000,  # -inf
+            0x0000000000000001,  # smallest +subnormal
+            0x800FFFFFFFFFFFFF,  # largest -subnormal
+            0x000FFFFFFFFFFFFF,  # largest +subnormal
+            0x8000000000000001,  # smallest -subnormal
+        ],
+        dtype=np.uint64,
+    )
+    tmp = bits.view(np.float64)
+    for shape in (tmp.shape, (2, len(tmp))):  # flat plan / cohort lanes
+        raw = np.broadcast_to(tmp, shape).copy()
+        with np.errstate(invalid="ignore"):
+            old = np.full(shape, np.nan)
+            old[...] = 0.0
+            np.add(old, raw, out=old)
+            new = np.full(shape, np.nan)
+            np.add(raw, 0.0, out=new)
+        assert new.view(np.uint64).tolist() == old.view(np.uint64).tolist()
+
+
 def test_fused_cross_entropy_matches_module_loss():
     for n, c in ((1, 4), (5, 3), (32, 8)):
         logits = RNG(n).normal(size=(n, c)) * 7
